@@ -1,7 +1,11 @@
 package harness
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
+	"runtime"
 	"testing"
 
 	"deisago/internal/ml"
@@ -48,6 +52,45 @@ func referenceComponents(t *testing.T, cfg Config) *ml.IncrementalPCA {
 		}
 	}
 	return est
+}
+
+// TestReferenceIPCABitsPinned pins every bit of the serial IPCA
+// reference at the e2ebench intransit-64 and kernels-16 specs. The
+// benchmark's correctness check compares runs against this same
+// reference, so drift in the ml/linalg kernels would pass it unseen;
+// this digest catches it. The values depend on the platform's
+// floating-point contraction rules, so they are recorded per GOARCH.
+func TestReferenceIPCABitsPinned(t *testing.T) {
+	pins := map[string]map[string]string{
+		"amd64": {
+			"intransit-64": "d200da42caecca6b66679bf8f34ad5c9c8122828ba9b73ae3aa5ee8d814bec8c",
+			"kernels-16":   "5d97c7cac1e82bc068c1c37fd67914fbf3df7751e135a2343b2e32cdaf6f9013",
+		},
+	}[runtime.GOARCH]
+	if pins == nil {
+		t.Skip("IPCA bit digests are recorded for amd64 only")
+	}
+	specs := []struct {
+		name string
+		cfg  Config
+	}{
+		{"intransit-64", Config{System: DEISA3, Ranks: 64, Timesteps: 10, RealLocalX: 16, RealLocalY: 8}},
+		{"kernels-16", Config{System: DEISA3, Ranks: 16, Timesteps: 10, RealLocalX: 64, RealLocalY: 32}},
+	}
+	for _, sp := range specs {
+		est := referenceComponents(t, sp.cfg)
+		h := sha256.New()
+		var b [8]byte
+		for _, vec := range [][]float64{est.Components.Data(), est.SingularValues, est.ExplainedVariance} {
+			for _, x := range vec {
+				binary.LittleEndian.PutUint64(b[:], math.Float64bits(x))
+				h.Write(b[:])
+			}
+		}
+		if got := hex.EncodeToString(h.Sum(nil)); got != pins[sp.name] {
+			t.Errorf("%s: reference IPCA bits digest %s, want %s", sp.name, got, pins[sp.name])
+		}
+	}
 }
 
 func TestAllSystemsComputeIdenticalIPCA(t *testing.T) {

@@ -1,7 +1,9 @@
 package linalg
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"deisago/internal/ndarray"
@@ -22,9 +24,19 @@ func randMat(rng *rand.Rand, m, n int) *ndarray.Array {
 // (protects the bit-equal PCA components invariant, DESIGN §6).
 func TestSVDDeterminismAcrossWorkers(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
-	shapes := [][2]int{{16, 16}, {200, 120}, {120, 200}, {257, 64}}
+	shapes := [][2]int{{16, 16}, {200, 120}, {120, 200}, {257, 64}, {800, 64}}
 	for _, sh := range shapes {
 		a := randMat(rng, sh[0], sh[1])
+		if sh[0] == 800 {
+			// Every third column exactly zero: skipped pairs, and rounds
+			// that still fan out.
+			d := a.Data()
+			for i := 0; i < sh[0]; i++ {
+				for j := 0; j < sh[1]; j += 3 {
+					d[i*sh[1]+j] = 0
+				}
+			}
+		}
 		prev := ndarray.SetWorkers(1)
 		u1, s1, v1 := SVD(a)
 		ndarray.SetWorkers(prev)
@@ -40,6 +52,25 @@ func TestSVDDeterminismAcrossWorkers(t *testing.T) {
 					t.Fatalf("%dx%d: singular value %d differs with %d workers", sh[0], sh[1], i, w)
 				}
 			}
+		}
+	}
+}
+
+// TestSVDRightMatchesSVD checks that the U-free entry point returns
+// exactly SVD's singular values and V, bit for bit (NaNs included), on
+// the pinned inputs and on tall, square and wide random shapes.
+func TestSVDRightMatchesSVD(t *testing.T) {
+	inputs := svdPinInputs()
+	rng := rand.New(rand.NewSource(24))
+	for _, sh := range [][2]int{{9, 7}, {33, 33}, {64, 1}, {1, 64}, {7, 9}} {
+		inputs = append(inputs, svdInput{fmt.Sprint(sh), randMat(rng, sh[0], sh[1])})
+	}
+	for _, in := range inputs {
+		_, s1, v1 := SVD(in.a)
+		s2, v2 := SVDRight(in.a)
+		if digestBits(s1, v1.Data()) != digestBits(s2, v2.Data()) ||
+			!slices.Equal(v1.Shape(), v2.Shape()) {
+			t.Fatalf("%s: SVDRight s/V bits differ from SVD", in.name)
 		}
 	}
 }
@@ -103,4 +134,21 @@ func BenchmarkKernelSVD128x64(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		SVD(x)
 	}
+}
+
+// BenchmarkKernelSVDIPCAStack times one SVD of a kernels-16-shaped
+// IncrementalPCA partial_fit stack: 515×64, rank-deficient, 50 columns
+// exactly zero. SVDRight is what PartialFit calls; SVD adds U.
+func BenchmarkKernelSVDIPCAStack(b *testing.B) {
+	x := ipcaStack(rand.New(rand.NewSource(5)))
+	b.Run("SVD", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SVD(x)
+		}
+	})
+	b.Run("SVDRight", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			SVDRight(x)
+		}
+	})
 }

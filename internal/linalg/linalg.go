@@ -13,16 +13,17 @@ import (
 	"deisago/internal/ndarray"
 )
 
-// jacobiRotate applies one one-sided Jacobi rotation to columns p and q
-// of the m×n matrix ud (and the matching rows of the n×n accumulator
-// vd), returning whether a rotation was performed. It reads and writes
-// only those two columns, so rotations on disjoint pairs commute exactly
-// and may run concurrently.
-func jacobiRotate(ud, vd []float64, m, n, p, q int, tol float64) bool {
+// jacobiRotate applies one one-sided Jacobi rotation to the columns up
+// and uq of A (and the matching columns vp, vq of the accumulator V),
+// returning whether a rotation was performed. Each column is a
+// contiguous slice, so both passes are unit-stride walks. It reads and
+// writes only those columns, so rotations on disjoint pairs commute
+// exactly and may run concurrently.
+func jacobiRotate(up, uq, vp, vq []float64, tol float64) bool {
+	uq = uq[:len(up)]
 	var app, aqq, apq float64
-	for i := 0; i < m; i++ {
-		x := ud[i*n+p]
-		y := ud[i*n+q]
+	for i, x := range up {
+		y := uq[i]
 		app += x * x
 		aqq += y * y
 		apq += x * y
@@ -40,28 +41,22 @@ func jacobiRotate(ud, vd []float64, m, n, p, q int, tol float64) bool {
 	}
 	c := 1 / math.Sqrt(1+t*t)
 	sn := c * t
-	for i := 0; i < m; i++ {
-		x := ud[i*n+p]
-		y := ud[i*n+q]
-		ud[i*n+p] = c*x - sn*y
-		ud[i*n+q] = sn*x + c*y
+	// The sums below commute exactly for every non-NaN value. Only the
+	// NaN an x86 ADDSD returns depends on operand order (the first
+	// operand's), and this order keeps the NaN signs TestSVDBitsPinned
+	// records.
+	for i, x := range up {
+		y := uq[i]
+		up[i] = c*x - sn*y
+		uq[i] = c*y + sn*x
 	}
-	for i := 0; i < n; i++ {
-		x := vd[i*n+p]
-		y := vd[i*n+q]
-		vd[i*n+p] = c*x - sn*y
-		vd[i*n+q] = sn*x + c*y
+	vq = vq[:len(vp)]
+	for i, x := range vp {
+		y := vq[i]
+		vp[i] = c*x - sn*y
+		vq[i] = sn*x + c*y
 	}
 	return true
-}
-
-// Eye returns the n×n identity matrix.
-func Eye(n int) *ndarray.Array {
-	a := ndarray.New(n, n)
-	for i := 0; i < n; i++ {
-		a.Set(1, i, i)
-	}
-	return a
 }
 
 // QR computes the reduced QR factorization of an m×n matrix with m >= n:
@@ -199,108 +194,96 @@ func applyReflector(d, v, w []float64, vnorm float64, k, m, n, j0 int) {
 // Columns of U and V are orthonormal; zero singular values yield
 // arbitrary orthonormal-completion columns in U.
 func SVD(a *ndarray.Array) (u *ndarray.Array, s []float64, v *ndarray.Array) {
-	if a.NDim() != 2 {
-		panic("linalg: SVD requires a 2-d array")
-	}
-	m, n := a.Dim(0), a.Dim(1)
+	m, n := svdDims(a)
 	if m >= n {
-		return svdTall(a)
+		return svdTall(a.Transpose().Copy().Data(), m, n, true)
 	}
-	// A = U S Vᵀ  ⇔  Aᵀ = V S Uᵀ.
-	v2, s2, u2 := svdTall(a.Transpose().Copy())
+	// A = U S Vᵀ  ⇔  Aᵀ = V S Uᵀ, and Aᵀ's columns are A's rows.
+	v2, s2, u2 := svdTall(a.Copy().Data(), n, m, true)
 	return u2, s2, v2
 }
 
-// svdTall handles m >= n via one-sided Jacobi on the columns of A.
+// SVDRight returns the S and V of SVD(a), bit-identical to SVD's, for
+// callers that discard U. For m >= n it never forms U, so it skips U's
+// normalization and the Gram-Schmidt completion of its zero-singular-
+// value columns. A wide input solves the transposed problem, whose U is
+// this V, so it costs what SVD does.
+func SVDRight(a *ndarray.Array) (s []float64, v *ndarray.Array) {
+	m, n := svdDims(a)
+	if m >= n {
+		_, s, v = svdTall(a.Transpose().Copy().Data(), m, n, false)
+		return s, v
+	}
+	v, s, _ = svdTall(a.Copy().Data(), n, m, true)
+	return s, v
+}
+
+func svdDims(a *ndarray.Array) (m, n int) {
+	if a.NDim() != 2 {
+		panic("linalg: SVD requires a 2-d array")
+	}
+	return a.Dim(0), a.Dim(1)
+}
+
+// svdTall runs one-sided Jacobi on an m×n matrix A with m >= n, held as
+// its columns: column j is the contiguous slice at[j*m:(j+1)*m]. It
+// overwrites at. V's columns are likewise the rows of an n×n buffer, so
+// every rotation walks four contiguous slices. U is formed only when
+// wantU is set.
 //
 // Sweeps use a round-robin tournament ordering: each of the n-1 rounds
-// pairs every column with a distinct partner, so the n/2 rotations of a
+// pairs every column with a distinct partner, so the rotations of a
 // round touch disjoint column pairs and can run on separate goroutines.
 // Round order and per-rotation arithmetic are fixed, so the result is
 // bit-identical for any ndarray.Workers() setting; only the rotation
 // *count* (an order-independent integer) is accumulated across a round.
-func svdTall(a *ndarray.Array) (u *ndarray.Array, s []float64, v *ndarray.Array) {
-	m, n := a.Dim(0), a.Dim(1)
-	U := a.Copy()
-	V := Eye(n)
-	ud := U.Data()
-	vd := V.Data()
-
-	col := func(buf []float64, stride, j, i int) float64 { return buf[i*stride+j] }
-
-	// Circle-method schedule over `players` slots (one "bye" slot when n
-	// is odd): slot 0 is fixed, the rest rotate; round r pairs slot 0
-	// with ring[r] and ring[r+1+t] with ring[r+players-1-t].
-	players := n
-	if players%2 == 1 {
-		players++
+func svdTall(at []float64, m, n int, wantU bool) (u *ndarray.Array, s []float64, v *ndarray.Array) {
+	col := func(j int) []float64 { return at[j*m : (j+1)*m] }
+	vt := make([]float64, n*n)
+	vcol := func(j int) []float64 { return vt[j*n : (j+1)*n] }
+	for j := 0; j < n; j++ {
+		vt[j*n+j] = 1
 	}
-	if players < 2 {
-		players = 2 // n ≤ 1: no pairs, sweeps are a no-op
-	}
-	ring := make([]int, players-1)
-	for i := range ring {
-		ring[i] = i + 1
-	}
-	pairsP := make([]int, 0, players/2)
-	pairsQ := make([]int, 0, players/2)
-	// Rotations in a round write disjoint columns; only fan out when the
-	// per-round work (≈ 3·m·n flops across n/2 independent pairs) is
-	// worth goroutine startup.
-	parallel := m*n >= 1<<14
+	rounds := jacobiRounds(n, zeroColumns(at, m, n))
 
+	// Rotations in a round write disjoint columns; fan a round out only
+	// when its rotations sweep enough column entries to be worth
+	// goroutine startup.
+	const parallelWork = 1 << 13
 	const maxSweeps = 60
-	tol := 1e-14
-	for sweep := 0; sweep < maxSweeps; sweep++ {
-		var rotations int64
-		for round := 0; round < players-1; round++ {
-			pairsP = pairsP[:0]
-			pairsQ = pairsQ[:0]
-			for t := 0; t < players/2; t++ {
-				var p, q int
-				if t == 0 {
-					p, q = 0, ring[(round+players-2)%(players-1)]
-				} else {
-					p = ring[(round+t-1)%(players-1)]
-					q = ring[(round+players-2-t)%(players-1)]
-				}
-				if p >= n || q >= n { // bye slot on odd n
-					continue
-				}
-				if p > q {
-					p, q = q, p
-				}
-				pairsP = append(pairsP, p)
-				pairsQ = append(pairsQ, q)
-			}
-			rotate := func(lo, hi int) {
-				var local int64
-				for x := lo; x < hi; x++ {
-					if jacobiRotate(ud, vd, m, n, pairsP[x], pairsQ[x], tol) {
-						local++
-					}
-				}
-				if local != 0 {
-					atomic.AddInt64(&rotations, local)
-				}
-			}
-			if parallel {
-				ndarray.ParallelFor(len(pairsP), 1, rotate)
-			} else {
-				rotate(0, len(pairsP))
+	const tol = 1e-14
+	var rotations atomic.Int64
+	var round []colPair
+	rotate := func(lo, hi int) {
+		var local int64
+		for _, pq := range round[lo:hi] {
+			if jacobiRotate(col(pq.p), col(pq.q), vcol(pq.p), vcol(pq.q), tol) {
+				local++
 			}
 		}
-		if rotations == 0 {
+		if local != 0 {
+			rotations.Add(local)
+		}
+	}
+	for sweep := 0; sweep < maxSweeps; sweep++ {
+		rotations.Store(0)
+		for _, round = range rounds {
+			if len(round)*m >= parallelWork {
+				ndarray.ParallelFor(len(round), 1, rotate)
+			} else {
+				rotate(0, len(round))
+			}
+		}
+		if rotations.Load() == 0 {
 			break
 		}
 	}
 
-	// Singular values are column norms of the rotated A; normalize U.
+	// Singular values are column norms of the rotated A.
 	s = make([]float64, n)
-	for j := 0; j < n; j++ {
+	for j := range s {
 		var norm float64
-		for i := 0; i < m; i++ {
-			x := col(ud, n, j, i)
+		for _, x := range col(j) {
 			norm += x * x
 		}
 		s[j] = math.Sqrt(norm)
@@ -319,61 +302,142 @@ func svdTall(a *ndarray.Array) (u *ndarray.Array, s []float64, v *ndarray.Array)
 		}
 		order[i], order[best] = order[best], order[i]
 	}
-	Us := ndarray.New(m, n)
-	Vs := ndarray.New(n, n)
 	sorted := make([]float64, n)
+	Vs := ndarray.New(n, n)
+	vsd := Vs.Data()
 	for jj, oj := range order {
 		sorted[jj] = s[oj]
+		for i, x := range vcol(oj) {
+			vsd[i*n+jj] = x
+		}
+	}
+	if !wantU {
+		return nil, sorted, Vs
+	}
+	Us := ndarray.New(m, n)
+	usd := Us.Data()
+	for jj, oj := range order {
 		if s[oj] > 0 {
 			inv := 1 / s[oj]
-			for i := 0; i < m; i++ {
-				Us.Set(col(ud, n, oj, i)*inv, i, jj)
+			for i, x := range col(oj) {
+				usd[i*n+jj] = x * inv
 			}
 		} else {
-			// Zero singular value: leave a unit vector orthogonal-ish
-			// (best effort; completed below).
-			Us.Set(1, jj%m, jj)
-		}
-		for i := 0; i < n; i++ {
-			Vs.Set(col(vd, n, oj, i), i, jj)
+			// Zero singular value: a placeholder unit vector, completed
+			// below.
+			usd[(jj%m)*n+jj] = 1
 		}
 	}
 	orthonormalizeZeroCols(Us, sorted)
 	return Us, sorted, Vs
 }
 
+// zeroColumns reports which columns of svdTall's at are exactly zero and
+// may be left out of every sweep (LAPACK dgesvj skips zero-norm columns
+// the same way). Such a column meets every partner with apq == 0 and
+// never rotates, provided the partners stay finite. They do when the
+// squared Frobenius norm has headroom below MaxFloat64: rotations
+// preserve it, so no column's sum of squares can overflow into an
+// Inf/NaN rotation. NaN or ±Inf entries, or squares that overflow, fail
+// that check and nothing is skipped, so non-finite values reach the
+// zero columns exactly as an unskipped sweep spreads them.
+func zeroColumns(at []float64, m, n int) []bool {
+	zero := make([]bool, n)
+	var sumsq float64
+	for j := range zero {
+		zero[j] = true
+		for _, x := range at[j*m : (j+1)*m] {
+			sumsq += x * x
+			if x != 0 {
+				zero[j] = false
+			}
+		}
+	}
+	if !(sumsq <= math.MaxFloat64/2) {
+		clear(zero)
+	}
+	return zero
+}
+
+type colPair struct{ p, q int }
+
+// jacobiRounds returns one sweep's circle-method schedule over n
+// columns, leaving out every pair with a skipped column. Slot 0 is
+// fixed and the rest rotate (one "bye" slot when n is odd): round r
+// pairs slot 0 with ring[r] and ring[r+1+t] with ring[r+players-1-t],
+// so the pairs of a round touch disjoint columns.
+func jacobiRounds(n int, skip []bool) [][]colPair {
+	players := n
+	if players%2 == 1 {
+		players++
+	}
+	if players < 2 {
+		players = 2 // n ≤ 1: no pairs, sweeps are a no-op
+	}
+	ring := make([]int, players-1)
+	for i := range ring {
+		ring[i] = i + 1
+	}
+	rounds := make([][]colPair, players-1)
+	pairs := make([]colPair, 0, (players-1)*(players/2))
+	for r := range rounds {
+		start := len(pairs)
+		for t := 0; t < players/2; t++ {
+			var p, q int
+			if t == 0 {
+				p, q = 0, ring[(r+players-2)%(players-1)]
+			} else {
+				p = ring[(r+t-1)%(players-1)]
+				q = ring[(r+players-2-t)%(players-1)]
+			}
+			if p >= n || q >= n || skip[p] || skip[q] { // bye slot on odd n, or a skipped column
+				continue
+			}
+			if p > q {
+				p, q = q, p
+			}
+			pairs = append(pairs, colPair{p, q})
+		}
+		rounds[r] = pairs[start:len(pairs):len(pairs)]
+	}
+	return rounds
+}
+
 // orthonormalizeZeroCols re-orthonormalizes U columns that correspond to
-// zero singular values against the non-zero ones (modified Gram-Schmidt).
+// zero singular values against the other columns (modified
+// Gram-Schmidt).
 func orthonormalizeZeroCols(u *ndarray.Array, s []float64) {
 	m, n := u.Dim(0), u.Dim(1)
+	ud := u.Data()
+	vec := make([]float64, m)
 	for j := 0; j < n; j++ {
 		if s[j] > 0 {
 			continue
 		}
 		// Try basis vectors until one survives projection.
 		for trial := 0; trial < m; trial++ {
-			vec := make([]float64, m)
+			clear(vec)
 			vec[(j+trial)%m] = 1
 			for k := 0; k < n; k++ {
 				if k == j {
 					continue
 				}
 				var dot float64
-				for i := 0; i < m; i++ {
-					dot += vec[i] * u.At(i, k)
+				for i, x := range vec {
+					dot += x * ud[i*n+k]
 				}
-				for i := 0; i < m; i++ {
-					vec[i] -= dot * u.At(i, k)
+				for i := range vec {
+					vec[i] -= dot * ud[i*n+k]
 				}
 			}
 			var norm float64
-			for i := 0; i < m; i++ {
-				norm += vec[i] * vec[i]
+			for _, x := range vec {
+				norm += x * x
 			}
 			norm = math.Sqrt(norm)
 			if norm > 1e-8 {
-				for i := 0; i < m; i++ {
-					u.Set(vec[i]/norm, i, j)
+				for i, x := range vec {
+					ud[i*n+j] = x / norm
 				}
 				break
 			}

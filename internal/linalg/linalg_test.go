@@ -18,21 +18,6 @@ func randomMatrix(rng *rand.Rand, m, n int) *ndarray.Array {
 	return a
 }
 
-func TestEye(t *testing.T) {
-	e := Eye(3)
-	for i := 0; i < 3; i++ {
-		for j := 0; j < 3; j++ {
-			want := 0.0
-			if i == j {
-				want = 1
-			}
-			if e.At(i, j) != want {
-				t.Fatalf("Eye(3)[%d,%d] = %v", i, j, e.At(i, j))
-			}
-		}
-	}
-}
-
 func TestQRKnown(t *testing.T) {
 	a := ndarray.FromSlice([]float64{
 		12, -51, 4,

@@ -126,9 +126,9 @@ func BuildDistributedPCA(g *taskgraph.Graph, name string, blockKeys []taskgraph.
 			rs = append(rs, v.(*ndarray.Array))
 		}
 		stacked := ndarray.Concat(0, rs...)
-		u, s, v := linalg.SVD(stacked)
+		s, v := linalg.SVDRight(stacked)
 		vt := v.Transpose().Copy()
-		svdFlip(u, vt)
+		svdFlip(vt)
 		f := vt.Dim(1)
 		k := nComponents
 		if k > f {

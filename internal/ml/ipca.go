@@ -162,9 +162,9 @@ func (p *IncrementalPCA) PartialFit(x *ndarray.Array) error {
 		}
 	}
 
-	u, s, v := linalg.SVD(stacked)
+	s, v := linalg.SVDRight(stacked)
 	vt := v.Transpose().Copy()
-	svdFlip(u, vt)
+	svdFlip(vt)
 
 	k := p.NComponents
 	p.Components = vt.Slice(ndarray.Range{Start: 0, Stop: k}, ndarray.Range{Start: 0, Stop: f}).Copy()

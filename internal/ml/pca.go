@@ -50,9 +50,9 @@ func (p *PCA) Fit(x *ndarray.Array) error {
 	}
 	mean := x.MeanAxis(0)
 	centered := centerRows(x, mean.Data())
-	u, s, v := linalg.SVD(centered)
+	s, v := linalg.SVDRight(centered)
 	vt := v.Transpose().Copy() // rows are right singular vectors
-	svdFlip(u, vt)
+	svdFlip(vt)
 
 	k := p.NComponents
 	p.Mean = mean.Data()
@@ -114,15 +114,15 @@ func centerRows(x *ndarray.Array, mean []float64) *ndarray.Array {
 
 // svdFlip fixes the sign ambiguity of the SVD so results are
 // deterministic: each row of vt gets a positive entry of maximum absolute
-// value (scikit-learn's u_based_decision=False convention), with u's
-// columns flipped to match.
-func svdFlip(u, vt *ndarray.Array) {
-	k := vt.Dim(0)
+// value (scikit-learn's u_based_decision=False convention). Every caller
+// discards U, so only vt is flipped.
+func svdFlip(vt *ndarray.Array) {
 	f := vt.Dim(1)
-	for r := 0; r < k; r++ {
+	vd := vt.Data()
+	for r := 0; r < vt.Dim(0); r++ {
+		row := vd[r*f : (r+1)*f]
 		maxAbs, sign := 0.0, 1.0
-		for j := 0; j < f; j++ {
-			v := vt.At(r, j)
+		for _, v := range row {
 			if math.Abs(v) > maxAbs {
 				maxAbs = math.Abs(v)
 				if v < 0 {
@@ -133,13 +133,8 @@ func svdFlip(u, vt *ndarray.Array) {
 			}
 		}
 		if sign < 0 {
-			for j := 0; j < f; j++ {
-				vt.Set(-vt.At(r, j), r, j)
-			}
-			if u != nil && r < u.Dim(1) {
-				for i := 0; i < u.Dim(0); i++ {
-					u.Set(-u.At(i, r), i, r)
-				}
+			for j, v := range row {
+				row[j] = -v
 			}
 		}
 	}

@@ -1,6 +1,7 @@
 #!/usr/bin/env sh
-# Pre-PR gate: formatting, vet, full tests, a race-detector pass over
-# the packages with parallel kernels or concurrent runtime machinery
+# Pre-PR gate: formatting, vet, full tests (the root module and the
+# e2ebench module), a race-detector pass over the packages with
+# parallel kernels or concurrent runtime machinery
 # (with the scheduler invariant auditor on and a fixed chaos seed), and
 # short fuzz smokes of the scheduler auditor and the worker memory
 # governor, then a bench-regression gate over the scheduler scalability
@@ -26,6 +27,11 @@ go build ./...
 
 echo "== go test ./... =="
 go test ./...
+
+echo "== e2ebench unit tests =="
+# The end-to-end benchmark is its own Go module, outside the root
+# go test ./...; GOPROXY=off keeps its build offline.
+(cd e2ebench && GOPROXY=off go test ./...)
 
 echo "== go test -race, auditor on (kernel + runtime packages) =="
 # DEISA_AUDIT=1 makes every cluster re-check the scheduler invariants
